@@ -83,6 +83,9 @@ main(int argc, char **argv)
     const auto measure = args.getInt("seconds", 4) * kSecond;
     const double alpha = args.getDouble("alpha", 0.7);
     const std::uint64_t seed = args.getInt("seed", 1);
+    const unsigned jobs = bench::jobsFromArgs(args);
+    const std::string json_path = args.getString("json", "");
+    args.finish();
 
     bench::Report report("ablation_clock_sweep");
     report.params()
@@ -105,7 +108,7 @@ main(int argc, char **argv)
     const BackendKind backends[2] = {BackendKind::Dram,
                                      BackendKind::Mftl};
 
-    bench::SweepRunner runner(bench::jobsFromArgs(args));
+    bench::SweepRunner runner(jobs);
     std::vector<Cell> cells(clockKinds.size() * 2);
     runner.run(cells.size(), [&](std::size_t i) {
         cells[i] = runCell(clockKinds[i / 2], backends[i % 2], alpha,
@@ -132,6 +135,6 @@ main(int argc, char **argv)
         "clocks — their aborts are genuine OCC conflicts; NTP's\n"
         "millisecond skew adds a large spurious-abort component on\n"
         "top (Figure 1's model).\n");
-    report.write(args);
+    report.write(json_path);
     return 0;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared helpers for the experiment harnesses: a tiny flag parser
+ * Shared helpers for the experiment harnesses: a strict flag parser
  * (--name=value), table printing, and the machine-readable report
  * writer behind every harness's --json flag. Every bench accepts:
  *
@@ -10,6 +10,7 @@
  *   --seed=N      root RNG seed
  *   --full        paper-scale parameters (slower)
  *   --json=PATH   write a milana-bench-v1 JSON report to PATH
+ *   --help        list the binary's flags and defaults, then exit
  *
  * Defaults are sized so the whole bench suite finishes in minutes of
  * wall time while preserving the paper's shapes; EXPERIMENTS.md records
@@ -19,11 +20,13 @@
 #ifndef BENCH_BENCH_UTIL_HH
 #define BENCH_BENCH_UTIL_HH
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -38,80 +41,100 @@
 
 namespace bench {
 
+/**
+ * Strict `--name=value` flag parser. Every get*() / has() call both
+ * reads a flag and declares it; once a binary has read all of its
+ * flags it calls finish(), which
+ *
+ *  - on `--help`, prints every declared flag with its default and
+ *    exits 0 (before any work runs);
+ *  - on an argument no call read (a typo, a removed flag) or a value
+ *    that does not parse as the requested type, names it on stderr
+ *    and exits 2.
+ *
+ * Numbers must parse completely: `--keys=2M` is an error, not 2.
+ */
 class Args
 {
   public:
     Args(int argc, char **argv)
+        : prog_(argc > 0 ? argv[0] : "bench")
     {
         for (int i = 1; i < argc; ++i)
             args_.emplace_back(argv[i]);
+        used_.assign(args_.size(), false);
     }
 
     double
-    getDouble(const std::string &name, double def) const
+    getDouble(const std::string &name, double def)
     {
-        const std::string prefix = "--" + name + "=";
-        for (const auto &a : args_) {
-            if (a.rfind(prefix, 0) == 0)
-                return std::atof(a.c_str() + prefix.size());
-        }
-        return def;
+        declare(name, "F", number(def));
+        const std::optional<std::string> text = find(name);
+        if (!text)
+            return def;
+        char *end = nullptr;
+        const double v = std::strtod(text->c_str(), &end);
+        if (text->empty() || *end != '\0')
+            return invalid(name, *text, "a number", def);
+        return v;
     }
 
     std::int64_t
-    getInt(const std::string &name, std::int64_t def) const
+    getInt(const std::string &name, std::int64_t def)
     {
-        const std::string prefix = "--" + name + "=";
-        for (const auto &a : args_) {
-            if (a.rfind(prefix, 0) == 0)
-                return std::atoll(a.c_str() + prefix.size());
-        }
-        return def;
+        declare(name, "N", std::to_string(def));
+        const std::optional<std::string> text = find(name);
+        if (!text)
+            return def;
+        char *end = nullptr;
+        errno = 0;
+        const long long v = std::strtoll(text->c_str(), &end, 10);
+        if (text->empty() || *end != '\0' || errno == ERANGE)
+            return invalid(name, *text, "an integer", def);
+        return v;
     }
 
+    /** Also accepts the two-token form "--name value". */
     std::string
-    getString(const std::string &name, const std::string &def) const
+    getString(const std::string &name, const std::string &def)
     {
-        const std::string prefix = "--" + name + "=";
-        const std::string flag = "--" + name;
-        for (std::size_t i = 0; i < args_.size(); ++i) {
-            if (args_[i].rfind(prefix, 0) == 0)
-                return args_[i].substr(prefix.size());
-            // Also accept the two-token form "--name value".
-            if (args_[i] == flag && i + 1 < args_.size())
-                return args_[i + 1];
-        }
-        return def;
+        declare(name, "STR", def);
+        return find(name).value_or(def);
     }
 
+    /** A bare switch, "--name". */
     bool
-    has(const std::string &name) const
+    has(const std::string &name)
     {
+        declare(name, "", "");
         const std::string flag = "--" + name;
-        for (const auto &a : args_) {
-            if (a == flag)
-                return true;
+        bool found = false;
+        for (std::size_t i = 0; i < args_.size(); ++i) {
+            if (args_[i] == flag) {
+                used_[i] = true;
+                found = true;
+            }
         }
-        return false;
+        return found;
     }
 
     /**
      * A duration flag with unit suffix: "100ms", "250us", "2s",
      * "500ns". A bare number means milliseconds (the natural unit for
-     * sampling intervals). Returns @p def when absent or malformed.
+     * sampling intervals).
      */
     common::Duration
-    getDuration(const std::string &name, common::Duration def) const
+    getDuration(const std::string &name, common::Duration def)
     {
-        const std::string text = getString(name, "");
-        if (text.empty())
+        declare(name, "D",
+                number(common::toMillis(def)) + "ms");
+        const std::optional<std::string> text = find(name);
+        if (!text)
             return def;
         char *end = nullptr;
-        const double n = std::strtod(text.c_str(), &end);
-        if (end == text.c_str())
-            return def;
+        const double n = std::strtod(text->c_str(), &end);
         const std::string unit(end);
-        double scale = static_cast<double>(common::kMillisecond);
+        double scale = 0;
         if (unit == "ns")
             scale = static_cast<double>(common::kNanosecond);
         else if (unit == "us")
@@ -120,18 +143,130 @@ class Args
             scale = static_cast<double>(common::kMillisecond);
         else if (unit == "s")
             scale = static_cast<double>(common::kSecond);
-        else
-            return def;
+        if (end == text->c_str() || scale == 0)
+            return invalid(name, *text, "a duration (ns/us/ms/s)", def);
         return static_cast<common::Duration>(n * scale);
     }
 
+    /** Every problem found so far: bad values, then arguments that no
+     *  get*() / has() call has read. */
+    std::vector<std::string>
+    errors() const
+    {
+        std::vector<std::string> out = errors_;
+        for (std::size_t i = 0; i < args_.size(); ++i) {
+            if (!used_[i] && args_[i] != "--help")
+                out.push_back("unknown argument '" + args_[i] + "'");
+        }
+        return out;
+    }
+
+    /** The --help text: a usage line, then every flag declared so
+     *  far with its default. */
+    std::string
+    usage() const
+    {
+        std::string text = "usage: " + prog_ + " [flags]\n";
+        for (const auto &[flag, def] : declared_) {
+            text += "  " + flag;
+            if (!def.empty())
+                text += std::string(flag.size() < 28 ? 28 - flag.size()
+                                                     : 1,
+                                    ' ') +
+                        def;
+            text += "\n";
+        }
+        return text;
+    }
+
+    /** Call after the last get*() / has(): handles --help and exits
+     *  2 on any error (see the class comment). */
+    void
+    finish() const
+    {
+        for (const std::string &a : args_) {
+            if (a == "--help") {
+                std::fputs(usage().c_str(), stdout);
+                std::exit(0);
+            }
+        }
+        const std::vector<std::string> errs = errors();
+        if (errs.empty())
+            return;
+        for (const std::string &e : errs)
+            std::fprintf(stderr, "%s: %s\n", prog_.c_str(), e.c_str());
+        std::fprintf(stderr, "%s: run with --help for the flag list\n",
+                     prog_.c_str());
+        std::exit(2);
+    }
+
   private:
+    void
+    declare(const std::string &name, const char *meta,
+            const std::string &def)
+    {
+        std::string flag = "--" + name;
+        if (*meta != '\0')
+            flag += std::string("=") + meta;
+        for (const auto &d : declared_)
+            if (d.first == flag)
+                return;
+        declared_.emplace_back(flag,
+                               def.empty() ? "" : "(default " + def + ")");
+    }
+
+    /** The value of the first `--name=value` / `--name value`
+     *  occurrence (every occurrence is marked read). */
+    std::optional<std::string>
+    find(const std::string &name)
+    {
+        const std::string prefix = "--" + name + "=";
+        const std::string flag = "--" + name;
+        std::optional<std::string> value;
+        for (std::size_t i = 0; i < args_.size(); ++i) {
+            std::string text;
+            if (args_[i].rfind(prefix, 0) == 0) {
+                used_[i] = true;
+                text = args_[i].substr(prefix.size());
+            } else if (args_[i] == flag && i + 1 < args_.size()) {
+                used_[i] = used_[i + 1] = true;
+                text = args_[++i];
+            } else {
+                continue;
+            }
+            if (!value)
+                value = std::move(text);
+        }
+        return value;
+    }
+
+    static std::string
+    number(double v)
+    {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%g", v);
+        return buf;
+    }
+
+    template <typename T>
+    T
+    invalid(const std::string &name, const std::string &text,
+            const char *what, T def)
+    {
+        errors_.push_back("--" + name + "=" + text + " is not " + what);
+        return def;
+    }
+
+    std::string prog_;
     std::vector<std::string> args_;
+    std::vector<bool> used_;
+    std::vector<std::pair<std::string, std::string>> declared_;
+    std::vector<std::string> errors_;
 };
 
 /**
  * Write a TimeSeriesLog as the `milana-metrics-v1` JSON document at
- * @p path plus a sibling CSV of its deterministic series (PATH with
+ * @p path plus a sibling CSV of the same series (PATH with
  * a .json suffix swapped for .csv, else PATH + ".csv"). Exits on I/O
  * error, like Report::write.
  */
@@ -230,7 +365,8 @@ class KvList
  *
  * Each printed table cell becomes one row object; "stats" carries the
  * optional full StatSet dumps (e.g. the traced cell of fig6). Finish
- * with write(args): a no-op unless the user passed --json=PATH.
+ * with write(path), path being the --json flag's value: a no-op when
+ * it is empty.
  */
 class Report
 {
@@ -281,12 +417,12 @@ class Report
         os << "\n";
     }
 
-    /** Write the report to --json=PATH if given; exits on I/O error so
-     *  scripted pipelines fail loudly rather than read a stale file. */
+    /** Write the report to @p path unless it is empty; exits on I/O
+     *  error so scripted pipelines fail loudly rather than read a
+     *  stale file. */
     void
-    write(const Args &args) const
+    write(const std::string &path) const
     {
-        const std::string path = args.getString("json", "");
         if (path.empty())
             return;
         std::ofstream os(path);

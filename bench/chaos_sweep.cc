@@ -16,12 +16,11 @@
  * The process exits non-zero if any cell breaks either oracle, so CI
  * can gate on it directly.
  *
- * Determinism: every cell derives its seeds from its coordinates, all
- * fault randomness comes from the cell's ChaosEngine streams, and
- * perfect-clock cells run under --sim-threads=N partitioned DES. The
- * --json report is byte-identical for every --jobs value and for
- * every --sim-threads >= 1 (CI holds 1 vs 8); neither flag is ever
- * written into the report.
+ * Determinism: every cell derives its seeds from its coordinates and
+ * all fault randomness comes from the cell's ChaosEngine streams, so
+ * the --json report is byte-identical for the same flags on every run
+ * and for every --jobs value (CI runs it twice and cmp's); --jobs is
+ * never written into the report.
  *
  * Report schema: "milana-chaos-v1" — params/rows like
  * milana-bench-v1, plus a "summary" verdict object.
@@ -140,8 +139,7 @@ struct CellResult
 CellResult
 runCell(const CellSpec &spec, std::size_t cellIndex, std::uint64_t keys,
         common::Duration warmup, common::Duration measure,
-        std::uint64_t seed, std::uint64_t chaosSeed,
-        std::uint32_t simThreads)
+        std::uint64_t seed, std::uint64_t chaosSeed)
 {
     ClusterConfig cfg;
     cfg.numShards = 1;
@@ -151,14 +149,9 @@ runCell(const CellSpec &spec, std::size_t cellIndex, std::uint64_t keys,
     cfg.clocks = spec.clocks;
     cfg.numKeys = keys;
     cfg.seed = seed;
-    // Partitioned DES only fits Perfect clocks; the partition count is
-    // topology-derived, so any simThreads >= 1 is byte-identical.
-    cfg.simThreads = spec.clocks == ClockKind::Perfect ? simThreads : 0;
 
-    // The monitor observes every append (classic) or the merged stream
-    // (partitioned) — the ring is sized so nothing is evicted before
-    // the merge in partitioned mode.
-    common::TraceLog trace(cfg.simThreads > 0 ? (1u << 21) : (1u << 16));
+    // The monitor observes every append, before the ring evicts it.
+    common::TraceLog trace(1u << 16);
     cfg.trace = &trace;
     common::InvariantMonitor::Config mcfg;
     mcfg.checkSnapshotReads = true;
@@ -196,7 +189,6 @@ runCell(const CellSpec &spec, std::size_t cellIndex, std::uint64_t keys,
     if (spec.scenario != nullptr)
         chaos.arm(cluster.now());
     cluster.runFor(measure);
-    cluster.finishTrace();
 
     const common::StatSet clients = cluster.clientStats();
     const common::StatSet servers = cluster.serverStats();
@@ -214,9 +206,9 @@ runCell(const CellSpec &spec, std::size_t cellIndex, std::uint64_t keys,
     r.faultActiveAborts =
         clients.counterValue("txn.fault_active_aborts");
     r.violations = monitor.violationCount();
-    // Classic-mode ring evictions are harmless (the monitor observes
-    // every append before eviction); what invalidates the verdict is
-    // events lost before the partitioned merge could surface them.
+    // Ring evictions are harmless (the monitor observes every append
+    // before eviction); only events it never saw would invalidate the
+    // verdict.
     r.traceDropped = cluster.traceEventsLost();
     return r;
 }
@@ -232,8 +224,9 @@ main(int argc, char **argv)
     const auto measure = args.getInt("seconds", 1) * kSecond;
     const std::uint64_t seed = args.getInt("seed", 1);
     const std::uint64_t chaosSeed = args.getInt("chaos-seed", 42);
-    const auto simThreads =
-        static_cast<std::uint32_t>(args.getInt("sim-threads", 0));
+    const unsigned jobs = bench::jobsFromArgs(args);
+    const std::string path = args.getString("json", "");
+    args.finish();
 
     // Cell list: fault-free baselines first (one per preset x
     // workload), then every scenario under its two eligible presets.
@@ -258,11 +251,11 @@ main(int argc, char **argv)
         "oracles: zero invariant violations; abort degradation within "
         "per-scenario bound");
 
-    bench::SweepRunner runner(bench::jobsFromArgs(args));
+    bench::SweepRunner runner(jobs);
     std::vector<CellResult> results(cells.size());
     runner.run(cells.size(), [&](std::size_t i) {
         results[i] = runCell(cells[i], i, keys, warmup, measure, seed,
-                             chaosSeed, simThreads);
+                             chaosSeed);
     });
 
     // Baseline lookup: abort rate of the fault-free cell with the same
@@ -361,7 +354,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(dropped),
                 pass ? "PASS" : "FAIL");
 
-    const std::string path = args.getString("json", "");
     if (!path.empty()) {
         std::ofstream os(path);
         if (!os) {

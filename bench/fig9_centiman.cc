@@ -17,12 +17,6 @@
  *
  * --jobs=N runs sweep cells on N worker threads (sweep_runner.hh);
  * output is identical for any N.
- *
- * --sim-threads=N asks for partitioned DES inside each cell.
- * Partitioned mode requires Perfect clocks and no Centiman, and every
- * Figure 9 cell runs software PTP, so the guard in runCell forces
- * classic mode here; the flag exists so all figure benches share one
- * interface.
  */
 
 #include <cstdio>
@@ -53,8 +47,7 @@ struct Cell
 Cell
 runCell(bool centiman, double alpha, std::uint64_t keys,
         std::uint32_t clients, common::Duration warmup,
-        common::Duration measure, std::uint64_t seed,
-        std::uint32_t simThreads)
+        common::Duration measure, std::uint64_t seed)
 {
     ClusterConfig cfg;
     cfg.numShards = 3;
@@ -66,12 +59,6 @@ runCell(bool centiman, double alpha, std::uint64_t keys,
     cfg.seed = seed;
     cfg.centiman = centiman;
     cfg.centimanDisseminateEvery = 1000;
-    // Partitioned DES is only legal under Perfect clocks and without
-    // Centiman's shared watermark state; every Figure 9 cell is
-    // disciplined, so this always resolves to classic mode.
-    cfg.simThreads =
-        cfg.clocks == ClockKind::Perfect && !cfg.centiman ? simThreads
-                                                          : 0;
 
     Cluster cluster(cfg);
     cluster.populate();
@@ -120,11 +107,9 @@ main(int argc, char **argv)
     const auto measure =
         args.getInt("seconds", args.has("full") ? 60 : 2) * kSecond;
     const std::uint64_t seed = args.getInt("seed", 1);
-    // Like --jobs, --sim-threads is not a report param: it must never
-    // change results, so reports from different values must compare
-    // byte-identical.
-    const auto simThreads =
-        static_cast<std::uint32_t>(args.getInt("sim-threads", 0));
+    const unsigned jobs = bench::jobsFromArgs(args);
+    const std::string json_path = args.getString("json", "");
+    args.finish();
 
     bench::Report report("fig9_centiman");
     report.params()
@@ -146,13 +131,13 @@ main(int argc, char **argv)
                 "------------------\n");
 
     const std::vector<double> alphas = {0.4, 0.5, 0.6, 0.7, 0.8};
-    bench::SweepRunner runner(bench::jobsFromArgs(args));
+    bench::SweepRunner runner(jobs);
     std::vector<Cell> milanaCells(alphas.size());
     std::vector<Cell> centiCells(alphas.size());
     runner.run(alphas.size() * 2, [&](std::size_t i) {
         const bool centiman = (i % 2 != 0);
         Cell cell = runCell(centiman, alphas[i / 2], keys, clients,
-                            warmup, measure, seed, simThreads);
+                            warmup, measure, seed);
         (centiman ? centiCells : milanaCells)[i / 2] = cell;
     });
 
@@ -179,6 +164,6 @@ main(int argc, char **argv)
         "\nPaper (Figure 9): equal at alpha=0.4; Centiman's LV success\n"
         "drops 89%% -> 25%% with contention, MILANA stays at 100%% and\n"
         "ends ~20%% ahead in throughput; abort rates similar.\n");
-    report.write(args);
+    report.write(json_path);
     return 0;
 }

@@ -25,6 +25,8 @@ main(int argc, char **argv)
     const int seconds =
         static_cast<int>(args.getInt("seconds", 120));
     const std::uint64_t seed = args.getInt("seed", 42);
+    const std::string json_path = args.getString("json", "");
+    args.finish();
 
     bench::Report report("skew_report");
     report.params()
@@ -72,6 +74,6 @@ main(int argc, char **argv)
             .set("exchanges",
                  ensemble.stats().counterValue("clocksync.exchanges"));
     }
-    report.write(args);
+    report.write(json_path);
     return 0;
 }

@@ -375,6 +375,8 @@ main(int argc, char **argv)
     const bool full = args.has("full");
     const std::uint64_t ops = static_cast<std::uint64_t>(
         args.getInt("ops", full ? 4'000'000 : 1'000'000));
+    const std::string json_path = args.getString("json", "");
+    args.finish();
 
     std::vector<std::uint64_t> tiers{100'000, 2'000'000};
     if (full)
@@ -420,6 +422,6 @@ main(int argc, char **argv)
         }
     }
 
-    report.write(args);
+    report.write(json_path);
     return 0;
 }

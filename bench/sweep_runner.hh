@@ -20,7 +20,9 @@
  *
  * Usage:
  *
- *   bench::SweepRunner runner(bench::jobsFromArgs(args));
+ *   const unsigned jobs = bench::jobsFromArgs(args); // before finish()
+ *   ...
+ *   bench::SweepRunner runner(jobs);
  *   std::vector<CellResult> results(cells.size());
  *   runner.run(cells.size(),
  *              [&](std::size_t i) { results[i] = runCell(cells[i]); });
@@ -44,7 +46,7 @@ namespace bench {
 /** Worker count from --jobs=N (default 1 = serial; 0 means "all
  *  hardware threads"). */
 inline unsigned
-jobsFromArgs(const Args &args)
+jobsFromArgs(Args &args)
 {
     const std::int64_t jobs = args.getInt("jobs", 1);
     if (jobs <= 0) {

@@ -123,6 +123,13 @@ main(int argc, char **argv)
     const std::uint64_t seed = args.getInt("seed", 1);
     const std::uint32_t workers =
         static_cast<std::uint32_t>(args.getInt("workers", 64));
+    // Opt-in so the default report stays byte-identical across
+    // revisions; with --mem each row gains deterministic data-plane
+    // bytes/key from the table + arena accounting.
+    const bool mem = args.has("mem");
+    const unsigned jobs = bench::jobsFromArgs(args);
+    const std::string json_path = args.getString("json", "");
+    args.finish();
 
     bench::Report report("table1_ftl_perf");
     report.params()
@@ -143,7 +150,7 @@ main(int argc, char **argv)
                 "--------------------\n");
 
     const std::vector<double> getPcts = {100.0, 75.0, 50.0, 25.0};
-    bench::SweepRunner runner(bench::jobsFromArgs(args));
+    bench::SweepRunner runner(jobs);
     std::vector<CellResult> vftlCells(getPcts.size());
     std::vector<CellResult> mftlCells(getPcts.size());
     runner.run(getPcts.size() * 2, [&](std::size_t i) {
@@ -153,10 +160,6 @@ main(int argc, char **argv)
         (unified ? mftlCells : vftlCells)[i / 2] = r;
     });
 
-    // Opt-in so the default report stays byte-identical across
-    // revisions; with --mem each row gains deterministic data-plane
-    // bytes/key from the table + arena accounting.
-    const bool mem = args.has("mem");
     if (mem)
         report.params().set("mem", true);
 
@@ -194,6 +197,6 @@ main(int argc, char **argv)
         "\nPaper (Table 1): MFTL up to +45%% throughput and up to 7x\n"
         "lower GET latency on read-heavy mixes; VFTL lower PUT latency\n"
         "(GC remaps shorten its pack wait) and ahead at 25%% gets.\n");
-    report.write(args);
+    report.write(json_path);
     return 0;
 }

@@ -61,7 +61,7 @@ TimeSeriesLog::noteWindowEnd(Time end)
 
 TimeSeriesLog::Series &
 TimeSeriesLog::series(std::string_view name, NodeId node,
-                      SeriesKind kind, bool deterministic)
+                      SeriesKind kind)
 {
     const auto it = index_.find({std::string(name), node});
     if (it != index_.end())
@@ -70,7 +70,6 @@ TimeSeriesLog::series(std::string_view name, NodeId node,
     s->name = name;
     s->node = node;
     s->kind = kind;
-    s->deterministic = deterministic;
     s->capacity_ = windowCapacity_;
     s->ring_.reserve(windowCapacity_);
     Series *raw = s.get();
@@ -84,15 +83,6 @@ TimeSeriesLog::find(std::string_view name, NodeId node) const
 {
     const auto it = index_.find({std::string(name), node});
     return it == index_.end() ? nullptr : it->second;
-}
-
-void
-TimeSeriesLog::addPoint(std::string_view name, NodeId node,
-                        SeriesKind kind, const MetricPoint &point,
-                        bool deterministic)
-{
-    series(name, node, kind, deterministic).push(point);
-    noteWindowEnd(point.windowEnd);
 }
 
 std::vector<const TimeSeriesLog::Series *>
@@ -109,63 +99,6 @@ TimeSeriesLog::sorted() const
                   return a->node < b->node;
               });
     return out;
-}
-
-void
-TimeSeriesLog::mergeFrom(const TimeSeriesLog &other)
-{
-    for (const Series *s : other.sorted()) {
-        Series &dst = series(s->name, s->node, s->kind,
-                             s->deterministic);
-        for (const MetricPoint &p : s->points())
-            dst.push(p);
-    }
-    noteWindowEnd(other.lastWindowEnd());
-}
-
-void
-mergeTimeSeries(const std::vector<const TimeSeriesLog *> &parts,
-                TimeSeriesLog &out)
-{
-    // Gather every (name, node) across partitions, sorted. A series
-    // normally lives on exactly one partition; when two partitions
-    // emit the same key, points interleave by windowStart with ties
-    // broken by partition index — both are thread-count independent.
-    struct Key
-    {
-        std::string name;
-        NodeId node;
-        SeriesKind kind;
-        bool deterministic;
-        bool operator<(const Key &o) const
-        {
-            if (name != o.name)
-                return name < o.name;
-            return node < o.node;
-        }
-    };
-    std::map<Key, std::vector<MetricPoint>> merged;
-    for (const TimeSeriesLog *part : parts) {
-        for (const TimeSeriesLog::Series *s : part->sorted()) {
-            auto &points = merged[{s->name, s->node, s->kind,
-                                   s->deterministic}];
-            const auto mine = s->points();
-            points.insert(points.end(), mine.begin(), mine.end());
-        }
-        out.noteWindowEnd(part->lastWindowEnd());
-    }
-    for (auto &[key, points] : merged) {
-        std::stable_sort(points.begin(), points.end(),
-                         [](const MetricPoint &a,
-                            const MetricPoint &b) {
-                             return a.windowStart < b.windowStart;
-                         });
-        TimeSeriesLog::Series &dst =
-            out.series(key.name, key.node, key.kind,
-                       key.deterministic);
-        for (const MetricPoint &p : points)
-            dst.push(p);
-    }
 }
 
 void
@@ -203,8 +136,7 @@ TimeSeriesLog::writeSeriesJson(JsonWriter &w, const Series &s) const
 }
 
 void
-TimeSeriesLog::writeJson(std::ostream &os,
-                         bool includeNonDeterministic) const
+TimeSeriesLog::writeJson(std::ostream &os) const
 {
     JsonWriter w(os);
     w.beginObject();
@@ -213,21 +145,10 @@ TimeSeriesLog::writeJson(std::ostream &os,
     w.key("window_capacity")
         .value(static_cast<std::uint64_t>(windowCapacity_));
     w.key("last_window_end_ns").value(lastWindowEnd_);
-    const auto all = sorted();
     w.key("series").beginArray();
-    for (const Series *s : all)
-        if (s->deterministic)
-            writeSeriesJson(w, *s);
+    for (const Series *s : sorted())
+        writeSeriesJson(w, *s);
     w.endArray();
-    if (includeNonDeterministic) {
-        w.key("nondeterministic").beginObject();
-        w.key("series").beginArray();
-        for (const Series *s : all)
-            if (!s->deterministic)
-                writeSeriesJson(w, *s);
-        w.endArray();
-        w.endObject();
-    }
     w.endObject();
     os << "\n";
 }
@@ -239,8 +160,6 @@ TimeSeriesLog::writeCsv(std::ostream &os) const
           "count,p50,p99,p999\n";
     char buf[32];
     for (const Series *s : sorted()) {
-        if (!s->deterministic)
-            continue;
         for (const MetricPoint &p : s->points()) {
             os << s->name << ',' << s->node << ','
                << seriesKindName(s->kind) << ',' << p.windowStart

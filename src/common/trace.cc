@@ -63,31 +63,6 @@ TraceLog::clear()
     appended_ = 0; // seq restarts; span/trace ids stay unique across clears
 }
 
-void
-mergeTraceLogs(const std::vector<const TraceLog *> &parts, TraceLog &out)
-{
-    struct Tagged
-    {
-        std::size_t part;
-        TraceEvent event;
-    };
-    std::vector<Tagged> all;
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-        for (TraceEvent &e : parts[p]->snapshot())
-            all.push_back({p, std::move(e)});
-    }
-    std::sort(all.begin(), all.end(),
-              [](const Tagged &a, const Tagged &b) {
-                  if (a.event.trueTime != b.event.trueTime)
-                      return a.event.trueTime < b.event.trueTime;
-                  if (a.part != b.part)
-                      return a.part < b.part;
-                  return a.event.seq < b.event.seq;
-              });
-    for (Tagged &t : all)
-        out.append(std::move(t.event)); // re-stamps seq in merge order
-}
-
 std::vector<TraceEvent>
 TraceLog::snapshot() const
 {
@@ -198,8 +173,7 @@ TraceLog::writePerfetto(std::ostream &os,
         seenNode.emplace(e.node, true);
     if (metrics != nullptr)
         for (const TimeSeriesLog::Series *s : metrics->sorted())
-            if (s->deterministic)
-                seenNode.emplace(s->node, true);
+            seenNode.emplace(s->node, true);
     for (const auto &[node, unused] : seenNode) {
         os << "\n";
         char label[64];
@@ -260,8 +234,6 @@ TraceLog::writePerfetto(std::ostream &os,
     // window's p99 — timelines render alongside the span tracks.
     if (metrics != nullptr) {
         for (const TimeSeriesLog::Series *s : metrics->sorted()) {
-            if (!s->deterministic)
-                continue;
             for (const MetricPoint &p : s->points()) {
                 double value = 0.0;
                 std::string name = s->name;

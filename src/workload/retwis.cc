@@ -132,7 +132,6 @@ RetwisWorkload::RetwisWorkload(Cluster &cluster,
         for (std::uint32_t i = 0; i < instances_per_client; ++i) {
             instances_.push_back(std::make_unique<RetwisInstance>(
                 cluster.client(c), config, rng.fork()));
-            instanceClient_.push_back(c);
         }
     }
 }
@@ -140,9 +139,8 @@ RetwisWorkload::RetwisWorkload(Cluster &cluster,
 void
 RetwisWorkload::start()
 {
-    for (std::size_t k = 0; k < instances_.size(); ++k)
-        sim::spawn(
-            instances_[k]->run(cluster_.clientSim(instanceClient_[k])));
+    for (auto &instance : instances_)
+        sim::spawn(instance->run(cluster_.sim()));
 }
 
 void

@@ -4,8 +4,9 @@
  * numbers), deterministic replay against a recording sink, clock
  * faults (skew raised, clock-suspect abort path tripped, commit-ts
  * monotonicity preserved under the invariant monitor), SSD gray
- * failure hooks, and the link-partition heal regression in
- * partitioned net::Fabric mode across worker-thread counts.
+ * failure hooks, the link-partition heal regression, and
+ * byte-identical replay of whole chaos scenarios: same seed twice, and
+ * copies run concurrently on worker threads.
  */
 
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "clocksync/sync.hh"
 #include "common/chaos.hh"
 #include "common/invariant_monitor.hh"
+#include "common/json.hh"
 #include "common/trace.hh"
 #include "flash/ssd.hh"
 #include "milana/client.hh"
@@ -25,6 +27,8 @@
 #include "sim/task.hh"
 #include "workload/cluster.hh"
 #include "workload/retwis.hh"
+
+#include "run_on_workers.hh"
 
 using common::ChaosEngine;
 using common::ChaosSink;
@@ -267,7 +271,6 @@ TEST(ChaosClockFaults, ClusterStepTripsClockSuspectNotMonotonicity)
     cluster.resetStats();
     chaos.arm(cluster.now());
     cluster.runFor(300 * kMillisecond);
-    cluster.finishTrace();
 
     EXPECT_EQ(monitor.violationCount(), 0u);
     EXPECT_EQ(chaos.injections(), 1u);
@@ -363,7 +366,7 @@ TEST(ChaosSsdFaults, GcStormOccupiesChannelsUntilStopped)
     EXPECT_EQ(ssd.stats().counterValue("ssd.gc_storm_ops"), during);
 }
 
-// --------------------------- partition heal (net::Fabric regression)
+// ------------------------------------------- partition heal regression
 
 struct ProbeResult
 {
@@ -405,20 +408,19 @@ probeTxn(Cluster *cluster, std::uint32_t client_index, int attempts,
 struct HealCell
 {
     ProbeResult pre, during, post;
-    std::string report; ///< commit/abort counters, for cross-thread cmp
+    std::string report; ///< commit/abort counters + the trace export
     std::uint64_t violations = 0;
     std::uint64_t faultAborts = 0; ///< txns that died while fault active
-    std::uint64_t eventsLost = 0;
 };
 
 /**
- * Partitioned-mode cluster (net::Fabric) with a scheduled
- * client-1 <-> servers partition. Probes client 1 before, during, and
- * after the fault window; background Retwis traffic keeps every
- * mailbox busy so stale cross-partition messages would surface.
+ * Cluster with a scheduled client-1 <-> servers partition. Probes
+ * client 1 before, during, and after the fault window; background
+ * Retwis traffic keeps the links busy so stale messages from the
+ * fault window would surface after the heal.
  */
 HealCell
-runHealCell(std::uint32_t sim_threads, bool oneway)
+runHealCell(bool oneway)
 {
     common::TraceLog trace(1u << 18);
     common::InvariantMonitor monitor({}, nullptr);
@@ -439,7 +441,6 @@ runHealCell(std::uint32_t sim_threads, bool oneway)
     cfg.clocks = ClockKind::Perfect;
     cfg.numKeys = 500;
     cfg.seed = 21;
-    cfg.simThreads = sim_threads;
     cfg.trace = &trace;
     cfg.chaos = &chaos;
 
@@ -475,53 +476,59 @@ runHealCell(std::uint32_t sim_threads, bool oneway)
     cluster.runUntil(origin + 95 * kMillisecond);
     sim::spawn(probeTxn(&cluster, 1, 5, &cell.post));
     cluster.runFor(60 * kMillisecond, 200 * kMillisecond);
-    cluster.finishTrace();
 
     std::ostringstream os;
     os << "commits=" << fleet.totalCommits()
        << " aborts=" << fleet.totalAborts()
        << " injections=" << chaos.injections()
-       << " heals=" << chaos.heals();
+       << " heals=" << chaos.heals() << "\n";
+    trace.writeJson(os);
     cell.report = os.str();
     cell.violations = monitor.violationCount();
     cell.faultAborts =
         cluster.clientStats().counterValue("txn.fault_active_aborts");
-    cell.eventsLost = cluster.traceEventsLost();
     return cell;
 }
 
-class PartitionHeal
-    : public ::testing::TestWithParam<std::uint32_t>
+/** Parameter: how many copies of the heal cell run at once on worker
+ *  threads (1 = alone on the test thread). */
+class PartitionHeal : public ::testing::TestWithParam<unsigned>
 {
 };
 
 TEST_P(PartitionHeal, RpcsFailDuringWindowAndSucceedAfterHeal)
 {
-    const HealCell cell = runHealCell(GetParam(), false);
-    EXPECT_TRUE(cell.pre.done);
-    EXPECT_TRUE(cell.pre.ok);
-    EXPECT_TRUE(cell.during.done);
-    EXPECT_FALSE(cell.during.ok);
-    EXPECT_TRUE(cell.post.done);
-    EXPECT_TRUE(cell.post.ok);
-    EXPECT_GT(cell.faultAborts, 0u);
-    EXPECT_EQ(cell.violations, 0u);
-    EXPECT_EQ(cell.eventsLost, 0u);
+    const std::vector<HealCell> cells = testutil::runOnWorkers(
+        GetParam(), [] { return runHealCell(false); });
+    for (const HealCell &cell : cells) {
+        EXPECT_TRUE(cell.pre.done);
+        EXPECT_TRUE(cell.pre.ok);
+        EXPECT_TRUE(cell.during.done);
+        EXPECT_FALSE(cell.during.ok);
+        EXPECT_TRUE(cell.post.done);
+        EXPECT_TRUE(cell.post.ok);
+        EXPECT_GT(cell.faultAborts, 0u);
+        EXPECT_EQ(cell.violations, 0u);
+    }
 }
 
 TEST(PartitionHeal, ByteIdenticalAcrossSimThreads)
 {
-    const HealCell one = runHealCell(1, false);
-    const HealCell two = runHealCell(2, false);
-    const HealCell eight = runHealCell(8, false);
-    EXPECT_EQ(one.report, two.report);
-    EXPECT_EQ(one.report, eight.report);
-    EXPECT_EQ(one.violations, 0u);
+    // Same seed and schedule: counters and trace export byte-identical
+    // run again alone and run as concurrent copies on worker threads.
+    const HealCell alone = runHealCell(false);
+    EXPECT_EQ(alone.violations, 0u);
+    EXPECT_EQ(alone.report, runHealCell(false).report);
+    for (unsigned copies : {2u, 8u}) {
+        for (const HealCell &cell : testutil::runOnWorkers(
+                 copies, [] { return runHealCell(false); }))
+            EXPECT_EQ(alone.report, cell.report) << "copies=" << copies;
+    }
 }
 
 TEST(PartitionHeal, OnewayPartitionAlsoHealsCleanly)
 {
-    const HealCell cell = runHealCell(2, true);
+    const HealCell cell = runHealCell(true);
     EXPECT_TRUE(cell.pre.ok);
     EXPECT_FALSE(cell.during.ok);
     EXPECT_TRUE(cell.post.ok);
@@ -530,48 +537,100 @@ TEST(PartitionHeal, OnewayPartitionAlsoHealsCleanly)
 
 // ------------------------------------------------ scenario determinism
 
+/** Everything a chaos cell exposes, flattened for byte comparison:
+ *  counters, client/server StatSets and the full trace export. */
+struct ReplayRun
+{
+    std::uint64_t commits = 0, injections = 0, heals = 0;
+    std::string bytes;
+};
+
+ReplayRun
+runReplayCell(const char *schedule, std::uint32_t replicas,
+              std::uint32_t clients, std::uint64_t seed)
+{
+    common::TraceLog trace(1u << 17);
+    ChaosEngine chaos(17);
+    std::string err;
+    EXPECT_TRUE(chaos.parse(schedule, &err)) << err;
+    ClusterConfig cfg;
+    cfg.numShards = 1;
+    cfg.replicasPerShard = replicas;
+    cfg.numClients = clients;
+    cfg.backend = BackendKind::Mftl;
+    cfg.clocks = ClockKind::Perfect;
+    cfg.numKeys = 400;
+    cfg.seed = seed;
+    cfg.trace = &trace;
+    cfg.chaos = &chaos;
+    Cluster cluster(cfg);
+    cluster.populate();
+    cluster.start();
+    RetwisConfig retwis;
+    retwis.numKeys = cfg.numKeys;
+    retwis.seed = cfg.seed + 100;
+    RetwisWorkload fleet(cluster, retwis);
+    fleet.start();
+    cluster.runUntil(cluster.now() + 100 * kMillisecond);
+    fleet.resetMeasurement();
+    cluster.resetStats();
+    chaos.arm(cluster.now());
+    cluster.runFor(200 * kMillisecond);
+
+    ReplayRun run;
+    run.commits = fleet.totalCommits();
+    run.injections = chaos.injections();
+    run.heals = chaos.heals();
+    std::ostringstream os;
+    os << run.commits << " " << fleet.totalAborts() << "\n";
+    common::JsonWriter w(os);
+    w.beginObject();
+    w.key("client");
+    cluster.clientStats().toJson(w);
+    w.key("server");
+    cluster.serverStats().toJson(w);
+    w.endObject();
+    trace.writeJson(os);
+    run.bytes = os.str();
+    return run;
+}
+
 TEST(ChaosCluster, SameScheduleAndSeedReplaysExactly)
 {
-    auto run = [] {
-        ChaosEngine chaos(17);
-        std::string err;
-        EXPECT_TRUE(chaos.parse(
-            "at 20ms crash backup:0:0 for 40ms\n"
-            "at 30ms delay all factor=4 for 30ms\n",
-            &err))
-            << err;
-        ClusterConfig cfg;
-        cfg.numShards = 1;
-        cfg.replicasPerShard = 3;
-        cfg.numClients = 4;
-        cfg.backend = BackendKind::Mftl;
-        cfg.clocks = ClockKind::Perfect;
-        cfg.numKeys = 400;
-        cfg.seed = 9;
-        cfg.chaos = &chaos;
-        Cluster cluster(cfg);
-        cluster.populate();
-        cluster.start();
-        RetwisConfig retwis;
-        retwis.numKeys = cfg.numKeys;
-        retwis.seed = cfg.seed + 100;
-        RetwisWorkload fleet(cluster, retwis);
-        fleet.start();
-        cluster.runUntil(cluster.now() + 100 * kMillisecond);
-        fleet.resetMeasurement();
-        cluster.resetStats();
-        chaos.arm(cluster.now());
-        cluster.runFor(200 * kMillisecond);
-        return std::make_tuple(fleet.totalCommits(),
-                               fleet.totalAborts(),
-                               chaos.injections(), chaos.heals());
-    };
-    const auto a = run();
-    const auto b = run();
-    EXPECT_EQ(a, b);
-    EXPECT_GT(std::get<0>(a), 50u);
-    EXPECT_EQ(std::get<2>(a), 2u);
-    EXPECT_EQ(std::get<3>(a), 2u);
+    // Crash + failover of a backup under a delay spike.
+    const char *crash = "at 20ms crash backup:0:0 for 40ms\n"
+                        "at 30ms delay all factor=4 for 30ms\n";
+    const ReplayRun a = runReplayCell(crash, 3, 4, 9);
+    const ReplayRun b = runReplayCell(crash, 3, 4, 9);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_GT(a.commits, 50u);
+    EXPECT_EQ(a.injections, 2u);
+    EXPECT_EQ(a.heals, 2u);
+}
+
+/** A client partition landing inside a delay spike. */
+ReplayRun
+runPartitionCell()
+{
+    return runReplayCell("at 50ms delay all factor=8 for 100ms\n"
+                         "at 80ms partition client:1 servers for 60ms",
+                         1, 6, 2);
+}
+
+TEST(PartitionedCluster, ChaosClampByteIdenticalAcrossSimThreads)
+{
+    // Faults fire at the same simulated instants, so stats and trace
+    // bytes match whether the cell runs alone, again, or as concurrent
+    // copies on worker threads.
+    const ReplayRun alone = runPartitionCell();
+    EXPECT_GT(alone.commits, 50u);
+    EXPECT_EQ(alone.injections, 2u);
+    EXPECT_EQ(alone.bytes, runPartitionCell().bytes);
+    for (unsigned copies : {2u, 8u}) {
+        for (const ReplayRun &run :
+             testutil::runOnWorkers(copies, runPartitionCell))
+            EXPECT_EQ(alone.bytes, run.bytes) << "copies=" << copies;
+    }
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * Tests for causal trace-context propagation (milana-trace-v2): the
  * ambient TraceContext across coroutine continuations, spawn, and
  * network RPC; ScopedSpan parenting; schema-v1 compatibility of the
- * parser; determinism of the exported trace; and the online invariant
+ * parser; determinism of the exported trace (same seed twice, and
+ * concurrent copies on worker threads); and the online invariant
  * monitor on hand-built event streams and a real cluster run.
  */
 
@@ -14,6 +15,7 @@
 #include <unordered_map>
 
 #include "common/invariant_monitor.hh"
+#include "common/json.hh"
 #include "common/trace.hh"
 #include "net/network.hh"
 #include "sim/future.hh"
@@ -21,6 +23,8 @@
 #include "sim/task.hh"
 #include "workload/cluster.hh"
 #include "workload/retwis.hh"
+
+#include "run_on_workers.hh"
 
 using common::InvariantMonitor;
 using common::ScopedSpan;
@@ -432,11 +436,65 @@ runTracedCluster()
     return os.str();
 }
 
+/**
+ * A fig6-style cell (one MFTL node, 8 clients, alpha 0.8): commit and
+ * abort counts, the client/server StatSets and the trace export.
+ */
+std::string
+runFig6Cell()
+{
+    common::TraceLog log(1 << 15);
+    workload::ClusterConfig cfg = tinyCluster(&log);
+    cfg.numClients = 8;
+    cfg.backend = workload::BackendKind::Mftl;
+    workload::Cluster cluster(cfg);
+    cluster.populate();
+    cluster.start();
+    workload::RetwisConfig rcfg;
+    rcfg.alpha = 0.8;
+    rcfg.numKeys = cfg.numKeys;
+    rcfg.seed = cfg.seed + 100;
+    workload::RetwisWorkload fleet(cluster, rcfg);
+    fleet.start();
+    cluster.runUntil(cluster.now() + kSecond / 4);
+    fleet.resetMeasurement();
+    cluster.resetStats();
+    cluster.runFor(kSecond / 2);
+    EXPECT_GT(fleet.totalCommits(), 100u);
+
+    std::ostringstream os;
+    os << fleet.totalCommits() << " " << fleet.totalAborts() << "\n";
+    common::JsonWriter w(os);
+    w.beginObject();
+    w.key("client");
+    cluster.clientStats().toJson(w);
+    w.key("server");
+    cluster.serverStats().toJson(w);
+    w.endObject();
+    log.writeJson(os);
+    return os.str();
+}
+
 TEST(ClusterTrace, ExportIsDeterministicAcrossRuns)
 {
     const std::string a = runTracedCluster();
     const std::string b = runTracedCluster();
     EXPECT_EQ(a, b) << "same seed must produce a byte-identical trace";
+}
+
+TEST(PartitionedCluster, ReportAndTraceBytesIdenticalAcrossSimThreads)
+{
+    // Trace ids and span parents come from the thread_local
+    // TraceContext: a cell's bytes must not depend on the thread that
+    // runs it or on the cells running beside it.
+    const std::string alone = runFig6Cell();
+    EXPECT_EQ(alone, runFig6Cell())
+        << "same seed must produce byte-identical stats and trace";
+    for (unsigned copies : {2u, 8u}) {
+        for (const std::string &run :
+             testutil::runOnWorkers(copies, runFig6Cell))
+            EXPECT_EQ(alone, run) << "copies=" << copies;
+    }
 }
 
 TEST(ClusterTrace, CommittedTxnFormsOneParentChain)
